@@ -4,10 +4,10 @@
 //
 // Fixtures are deterministic — synthesized from the traffic model with
 // fixed seeds and logical timestamps, recorded through a ReplayBackend
-// over a LocalBackend — so regeneration is byte-stable: rerunning this
-// tool must produce bit-identical files until the trace format or the
-// workload definition changes, and a diff on the fixtures is a
-// meaningful review artifact.
+// over a one-host ClusterBackend (the Client::local shape) — so
+// regeneration is byte-stable: rerunning this tool must produce
+// bit-identical files until the trace format or the workload definition
+// changes, and a diff on the fixtures is a meaningful review artifact.
 //
 //   conformance_600.dtatrace  all four primitives, 3 tenants, the
 //                             backend-conformance workload (seed 42)
@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : "tests/data";
 
   {
-    ReplayBackend recorder(std::make_unique<LocalBackend>(
+    ReplayBackend recorder(dta::testing::make_backend(
+        dta::testing::BackendKind::kLocal,
         dta::testing::conformance_host_config()));
     if (int rc = write_fixture(recorder, dta::testing::conformance_workload(600),
                                out_dir + "/conformance_600.dtatrace")) {
@@ -79,7 +80,8 @@ int main(int argc, char** argv) {
     telemetry::TraceGenerator gen(trace);
     telemetry::ReportMix mix;
     mix.keyincrement = false;  // Key-Write only
-    ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+    ReplayBackend recorder(
+        dta::testing::make_backend(dta::testing::BackendKind::kLocal, config));
     if (int rc = write_fixture(recorder,
                                telemetry::synthesize_reports(gen, 2000, mix),
                                out_dir + "/keywrite_2k.dtatrace")) {

@@ -37,23 +37,6 @@ inline std::uint32_t shard_of_key(ByteSpan key, std::uint32_t num_shards) {
   return shard_of(key, num_shards);
 }
 
-// Both routing tiers resolved with one interleaved pass over the key:
-// the host and shard engines fold the same key bytes simultaneously
-// (Crc32::compute_multi) instead of re-reading them per tier.
-struct HostShard {
-  std::uint32_t host;
-  std::uint32_t shard;
-};
-inline HostShard host_shard_of_key(ByteSpan key, std::uint32_t num_hosts,
-                                   std::uint32_t num_shards) {
-  if (num_hosts <= 1 && num_shards <= 1) return {0, 0};
-  const Crc32* engines[2] = {&hop_crc(7), &shard_crc()};
-  std::uint32_t h[2];
-  Crc32::compute_multi(engines, 2, key, h);
-  return {num_hosts <= 1 ? 0u : h[0] % num_hosts,
-          num_shards <= 1 ? 0u : h[1] % num_shards};
-}
-
 // Append lists stripe round-robin at either tier; a list lives whole on
 // one partition (entries of one list must stay contiguous).
 inline std::uint32_t list_partition(std::uint32_t list_id,

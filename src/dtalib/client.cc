@@ -128,10 +128,9 @@ Status validate_report(const proto::ParsedDta& parsed,
 
 namespace {
 
-using collector::StoreSnapshot;
 using SnapshotPtr = Backend::SnapshotPtr;
 
-// The single snapshot-acquisition path both backends share: resolve
+// The single snapshot-acquisition path of every host: resolve
 // the read-your-submits floor, reject unsatisfiable floors, pick the
 // per-call or runtime staleness budget, acquire bounded.
 Expected<SnapshotPtr> acquire_snapshot(collector::CollectorRuntime& runtime,
@@ -256,170 +255,6 @@ Expected<EventBatch> Backend::events_query(std::uint32_t list,
   out.next.position = start + n;
   out.remaining = head - out.next.position;
   return out;
-}
-
-// --- LocalBackend ------------------------------------------------------------
-
-LocalBackend::LocalBackend(collector::CollectorRuntimeConfig config)
-    : runtime_(std::move(config)) {}
-
-Status LocalBackend::submit(proto::ParsedDta parsed,
-                            const ReportOptions& opts) {
-  // (dst_ip addresses hosts; a local backend is host 0.)
-  if (auto status = validate_report(parsed, host_config(), num_lists());
-      !status.ok()) {
-    return status;
-  }
-  // Admission after validation: a malformed report never consumes
-  // quota. Over-quota tenants get kResourceExhausted with the bucket's
-  // refill horizon — never a silent drop.
-  if (auto status = tenants_.admit_submit(opts.tenant, submit_ops(parsed));
-      !status.ok()) {
-    return status;
-  }
-  parsed.header.tenant = opts.tenant;
-  if (opts.immediate) parsed.header.immediate = true;
-  MutexLock lock(submit_mu_);
-  runtime_.submit(std::move(parsed));
-  return Status::Ok();
-}
-
-Status LocalBackend::flush() {
-  MutexLock lock(submit_mu_);
-  runtime_.flush();
-  return Status::Ok();
-}
-
-void LocalBackend::stop() {
-  MutexLock lock(submit_mu_);
-  runtime_.stop();
-}
-
-Expected<SnapshotPtr> LocalBackend::acquire(std::uint32_t shard,
-                                            const QueryOptions& opts) {
-  return acquire_snapshot(runtime_, shard, opts);
-}
-
-Expected<std::vector<SnapshotPtr>> LocalBackend::key_snapshots(
-    const proto::TelemetryKey& key, const QueryOptions& opts) {
-  if (auto status = tenants_.admit_query(opts.tenant); !status.ok()) {
-    return status;
-  }
-  const std::uint32_t shard =
-      collector::shard_for_key(key, runtime_.num_shards());
-  auto snap = acquire(shard, opts);
-  if (!snap.ok()) return snap.status();
-  return std::vector<SnapshotPtr>{std::move(snap).value()};
-}
-
-Expected<std::vector<std::vector<SnapshotPtr>>>
-LocalBackend::key_snapshots_batch(const std::vector<proto::TelemetryKey>& keys,
-                                  const QueryOptions& opts) {
-  if (auto status = tenants_.admit_query(
-          opts.tenant, static_cast<std::uint32_t>(keys.size()));
-      !status.ok()) {
-    return status;
-  }
-  // One pin per shard: each shard is snapshotted at most once per batch.
-  std::vector<SnapshotPtr> pinned(runtime_.num_shards());
-  std::vector<std::vector<SnapshotPtr>> out;
-  out.reserve(keys.size());
-  for (const auto& key : keys) {
-    const std::uint32_t shard =
-        collector::shard_for_key(key, runtime_.num_shards());
-    if (!pinned[shard]) {
-      auto snap = acquire(shard, opts);
-      if (!snap.ok()) return snap.status();
-      pinned[shard] = std::move(snap).value();
-    }
-    out.push_back({pinned[shard]});
-  }
-  return out;
-}
-
-Expected<Backend::ListSlice> LocalBackend::list_snapshot(
-    std::uint32_t list, const QueryOptions& opts) {
-  if (auto status = tenants_.admit_query(opts.tenant); !status.ok()) {
-    return status;
-  }
-  if (!host_config().append) {
-    return Status(StatusCode::kNotConfigured, "Append store not enabled");
-  }
-  if (list >= num_lists()) {
-    return Status(StatusCode::kUnknownList, "Append list id out of range");
-  }
-  const std::uint32_t shard =
-      collector::shard_for_list(list, runtime_.num_shards());
-  auto snap = acquire(shard, opts);
-  if (!snap.ok()) return snap.status();
-  ListSlice slice;
-  slice.snap = std::move(snap).value();
-  slice.shard_list = collector::local_list_id(list, runtime_.num_shards());
-  return slice;
-}
-
-Expected<RangeResult> LocalBackend::range_query(const RangeSpec& spec,
-                                                const QueryOptions& opts) {
-  if (auto status = range_precheck(*this, spec, opts); !status.ok()) {
-    return status;
-  }
-  if (auto status = tenants_.admit_query(opts.tenant); !status.ok()) {
-    return status;
-  }
-  // Pin every shard's snapshot, then catch each shard's index up to the
-  // pinned generation: the returned version is then a superset of the
-  // keys that snapshot holds, so no key the scan path would return can
-  // be missing from the candidates.
-  const std::uint32_t n = runtime_.num_shards();
-  std::vector<SnapshotPtr> pinned(n);
-  std::vector<std::shared_ptr<const collector::ShardIndexVersion>> indexes;
-  indexes.reserve(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    auto snap = acquire(s, opts);
-    if (!snap.ok()) return snap.status();
-    pinned[s] = std::move(snap).value();
-    indexes.push_back(runtime_.index_shard(s, pinned[s]->generation()));
-  }
-  const auto candidates = collect_range_candidates(indexes, spec);
-  return scan_range_candidates(
-      candidates, spec.limit, [&](const proto::TelemetryKey& key) {
-        const std::vector<SnapshotPtr> snaps{
-            pinned[collector::shard_for_key(key, n)]};
-        return resolve_range_entry(snaps, key, spec, opts);
-      });
-}
-
-const collector::CollectorRuntimeConfig& LocalBackend::host_config() const {
-  return runtime_.config();
-}
-
-std::uint32_t LocalBackend::num_lists() const {
-  return host_config().append ? host_config().append->num_lists : 0;
-}
-
-ClientStats LocalBackend::stats() const {
-  ClientStats out;
-  out.ingest = runtime_.stats();
-  out.translation = runtime_.translation_stats();
-  out.num_hosts = 1;
-  out.live_hosts = 1;
-  ClusterHostStats host;
-  host.ingest = out.ingest;
-  host.translation = out.translation;
-  host.snapshots = runtime_.snapshot_cache().stats();
-  out.per_host.push_back(std::move(host));
-  out.per_tenant =
-      join_tenant_ingest(tenants_.stats(), runtime_.tenant_ingest());
-  return out;
-}
-
-double LocalBackend::modeled_verbs_per_sec() const {
-  return runtime_.modeled_aggregate_verbs_per_sec();
-}
-
-Status LocalBackend::fail_host(std::uint32_t host) {
-  (void)host;
-  return {StatusCode::kUnsupported, "LocalBackend has no host to fail"};
 }
 
 // --- ClusterBackend ----------------------------------------------------------
@@ -675,6 +510,10 @@ double ClusterBackend::modeled_verbs_per_sec() const {
 }
 
 Status ClusterBackend::fail_host(std::uint32_t host) {
+  if (cluster_.num_hosts() == 1) {
+    return {StatusCode::kUnsupported,
+            "a one-host deployment has no replica to fail over to"};
+  }
   if (host >= cluster_.num_hosts()) {
     return {StatusCode::kInvalidArgument,
             "host index " + std::to_string(host) + " outside [0, " +
@@ -895,7 +734,8 @@ Expected<EventBatch> EventQuery::run() const {
 // --- Client ------------------------------------------------------------------
 
 Client Client::local(collector::CollectorRuntimeConfig config) {
-  return Client(std::make_unique<LocalBackend>(std::move(config)));
+  return cluster({std::move(config), /*num_hosts=*/1,
+                  translator::PartitionPolicy::kByKeyHash});
 }
 
 Client Client::cluster(ClusterRuntimeConfig config) {
@@ -932,8 +772,8 @@ Status Client::fail_host(std::uint32_t host) {
 }
 
 collector::CollectorRuntime* Client::local_runtime() {
-  auto* local = dynamic_cast<LocalBackend*>(backend_.get());
-  return local ? &local->runtime() : nullptr;
+  ClusterRuntime* cluster = cluster_runtime();
+  return cluster && cluster->num_hosts() == 1 ? &cluster->host(0) : nullptr;
 }
 
 ClusterRuntime* Client::cluster_runtime() {

@@ -9,15 +9,19 @@
 //   AppendList      — event-stream ring lists (append/read)
 //   PostcardStream  — per-flow path aggregation (report/path_of)
 //
-// over a Backend interface with two implementations, so callers never
-// see host/shard topology:
+// over a Backend interface, so callers never see host/shard topology.
+// The in-process implementation is one class:
 //
-//   LocalBackend    — one collector host: wraps the sharded
-//                     CollectorRuntime (and its per-shard translator
-//                     engines) behind the facade.
 //   ClusterBackend  — N hosts x M shards: wraps ClusterRuntime and
 //                     routes through the same two-level router the
 //                     cluster query tier uses, with replica failover.
+//                     Client::local() is its one-host case (the paper's
+//                     single collector is the N=1 partitioning), so a
+//                     single host routes and resolves through the very
+//                     same code as a cluster.
+//
+// The wire (FabricBackend) and record/replay (ReplayBackend) tiers
+// implement the same interface in their own headers.
 //
 // Every query resolves against immutable StoreSnapshots acquired
 // through one path (the generation-stamped SnapshotCache), and every
@@ -64,8 +68,8 @@ namespace dta {
 // The canonical telemetry key of a flow (13B wire 5-tuple).
 proto::TelemetryKey flow_key(const net::FiveTuple& flow);
 
-// Uniform stats over both backends: totals across live hosts plus the
-// per-host breakdown (one row for LocalBackend) and the per-tenant
+// Uniform stats over every backend: totals across live hosts plus the
+// per-host breakdown (one row for a one-host backend) and the per-tenant
 // serving-plane rows (admission counters + ingest attribution).
 struct ClientStats {
   collector::CollectorRuntimeStats ingest;
@@ -80,13 +84,13 @@ struct ClientStats {
 // its router: a distinct Status per failure class (geometry mismatch,
 // empty key, redundancy out of range, unknown list, ...). Exported so
 // out-of-file backends (FabricBackend, wrappers) reject the same
-// inputs with the same codes as LocalBackend/ClusterBackend.
+// inputs with the same codes as ClusterBackend.
 Status validate_report(const proto::ParsedDta& parsed,
                        const collector::CollectorRuntimeConfig& config,
                        std::uint32_t num_lists);
 
-// The deployment seam under Client. Both implementations submit
-// through their runtime's router and serve queries from immutable
+// The deployment seam under Client. Every implementation submits
+// through its runtime's router and serves queries from immutable
 // per-shard snapshots acquired through one bounded-staleness path.
 class Backend {
  public:
@@ -111,7 +115,8 @@ class Backend {
   virtual void stop() = 0;
 
   // One snapshot of `key`'s owning shard on every live candidate host
-  // (exactly one for LocalBackend; the replica set for ClusterBackend).
+  // (exactly one for a one-host or kByKeyHash deployment; the replica
+  // set under kReplicate).
   // kUnavailable when no candidate survives.
   virtual Expected<std::vector<SnapshotPtr>> key_snapshots(
       const proto::TelemetryKey& key, const QueryOptions& opts) = 0;
@@ -158,7 +163,8 @@ class Backend {
   virtual TenantRegistry& tenants() = 0;
 
   // Simulates a collector host death (resiliency tests/drills).
-  // LocalBackend has no host to lose -> kUnsupported.
+  // A one-host deployment has no replica to fail over to ->
+  // kUnsupported.
   virtual Status fail_host(std::uint32_t host) = 0;
 };
 
@@ -277,7 +283,8 @@ class PostcardStream {
 
 class Client {
  public:
-  // One collector host (sharded CollectorRuntime under the hood).
+  // One collector host: shorthand for a one-host kByKeyHash cluster
+  // (sharded CollectorRuntime under the hood).
   static Client local(collector::CollectorRuntimeConfig config);
   // N hosts x M shards behind the two-level router.
   static Client cluster(ClusterRuntimeConfig config);
@@ -352,7 +359,8 @@ class Client {
 
   // Escape hatches to the wrapped runtime (benches asserting on cache
   // internals, tests poking shard state). nullptr when the backend is
-  // not of that kind.
+  // not of that kind; local_runtime() is host 0 of a one-host cluster
+  // (the Client::local shape) and nullptr for any other host count.
   collector::CollectorRuntime* local_runtime();
   ClusterRuntime* cluster_runtime();
 
@@ -361,43 +369,6 @@ class Client {
 };
 
 // --- backend implementations -------------------------------------------------
-
-class LocalBackend final : public Backend {
- public:
-  explicit LocalBackend(collector::CollectorRuntimeConfig config);
-
-  collector::CollectorRuntime& runtime() { return runtime_; }
-
-  Status submit(proto::ParsedDta parsed, const ReportOptions& opts) override;
-  Status flush() override;
-  void stop() override;
-  Expected<std::vector<SnapshotPtr>> key_snapshots(
-      const proto::TelemetryKey& key, const QueryOptions& opts) override;
-  Expected<std::vector<std::vector<SnapshotPtr>>> key_snapshots_batch(
-      const std::vector<proto::TelemetryKey>& keys,
-      const QueryOptions& opts) override;
-  Expected<ListSlice> list_snapshot(std::uint32_t list,
-                                    const QueryOptions& opts) override;
-  Expected<RangeResult> range_query(const RangeSpec& spec,
-                                    const QueryOptions& opts) override;
-  const collector::CollectorRuntimeConfig& host_config() const override;
-  std::uint32_t num_lists() const override;
-  ClientStats stats() const override;
-  double modeled_verbs_per_sec() const override;
-  TenantRegistry& tenants() override { return tenants_; }
-  Status fail_host(std::uint32_t host) override;
-
- private:
-  Expected<SnapshotPtr> acquire(std::uint32_t shard, const QueryOptions& opts);
-
-  collector::CollectorRuntime runtime_;
-  TenantRegistry tenants_;
-  // Serializes submit/flush/stop onto the runtime's single-producer
-  // ingest contract, so tenants may submit from concurrent threads.
-  // (runtime_ itself is not GUARDED_BY: the query tier reads it
-  // lock-free through immutable snapshots by design.)
-  Mutex submit_mu_;
-};
 
 class ClusterBackend final : public Backend {
  public:

@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "common/shard_math.h"
-
 namespace dta {
 
 ClusterRuntime::ClusterRuntime(ClusterRuntimeConfig config)
@@ -26,8 +24,9 @@ void ClusterRuntime::submit(proto::ParsedDta parsed, std::uint32_t dst_ip) {
   // Route on the offset from the cluster's base address: the selector's
   // modulo mapping then sends host_ip(h) to host h exactly (the raw IP
   // is only aligned with the host index when the base divides evenly).
-  const auto routes =
-      selector_.route_cluster(parsed.report, dst_ip - host_ip(0));
+  // Only the host tier is decided here; each host's runtime hashes the
+  // shard tier itself, once.
+  const auto targets = selector_.route(parsed.report, dst_ip - host_ip(0));
 
   if (auto* ap = std::get_if<proto::AppendReport>(&parsed.report)) {
     // Fold the global list id to the host-local space (kByKeyHash only;
@@ -36,10 +35,10 @@ void ClusterRuntime::submit(proto::ParsedDta parsed, std::uint32_t dst_ip) {
     ap->list_id = selector_.host_local_list(ap->list_id);
   }
 
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    const std::uint32_t h = routes[i].host;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const std::uint32_t h = targets[i];
     if (failed_[h]) continue;  // a dead collector just loses its copy
-    if (i + 1 == routes.size()) {
+    if (i + 1 == targets.size()) {
       hosts_[h]->submit(std::move(parsed));
     } else {
       hosts_[h]->submit(parsed);  // kReplicate: one copy per host

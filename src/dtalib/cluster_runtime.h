@@ -4,12 +4,13 @@
 // it by partitioning reports, and this class composes the two partition
 // dimensions: N collector *hosts* (each its own NIC/QP set and
 // translator-side RDMA connection) x M *shards* per host (the intra-
-// host CollectorRuntime tier from PR 1). Routing is one decision made
-// by the shared two-level router (translator::CollectorSelector +
-// common/shard_math.h): host by partition policy — kByKeyHash,
-// kByDestinationIp or kReplicate — and shard by key CRC, so every
-// policy composes with intra-host sharding and aggregate capacity
-// scales as N x M.
+// host CollectorRuntime tier). Routing is one decision per tier, both
+// from the shared routing math (common/shard_math.h): the host by
+// partition policy — kByKeyHash, kByDestinationIp or kReplicate —
+// through translator::CollectorSelector, then the shard by key CRC
+// inside the host's runtime. Every policy composes with intra-host
+// sharding and aggregate capacity scales as N x M. A one-host cluster
+// is the single-collector deployment (Client::local).
 //
 // Resiliency: under kReplicate every host holds a full copy;
 // fail_host() simulates a collector death (it stops receiving, its
@@ -75,8 +76,8 @@ class ClusterRuntime {
   ClusterRuntime(const ClusterRuntime&) = delete;
   ClusterRuntime& operator=(const ClusterRuntime&) = delete;
 
-  // Routes one report through the two-level router and submits it to
-  // its host runtime(s). `dst_ip` is the report's IP destination
+  // Routes one report to its host(s) and submits it to their runtimes,
+  // which place it on a shard. `dst_ip` is the report's IP destination
   // (kByDestinationIp routes on it; 0 means "host 0's address").
   // Append list ids are folded to the host-local id space under
   // kByKeyHash, mirroring the intra-host fold.

@@ -1,14 +1,15 @@
 // FabricBackend — the wire-fidelity dta::Backend.
 //
-// LocalBackend routes submits through the sharded CollectorRuntime with
-// direct verb execution; FabricBackend routes every submit through the
-// real dta::Fabric loop instead: reporter UDP/DTA encapsulation, the
-// reporter->translator link, the translator's per-primitive engines,
-// RoCEv2 frame crafting, the rdma link, and the collector NIC executing
-// verbs into registered memory. Every report a client submits is
-// encoded and decoded exactly as it would be on the wire — this is the
-// backend the conformance kit uses to prove the client API observes
-// identical results over the modeled network as over direct execution.
+// ClusterBackend (Client::local is its one-host case) routes submits
+// through the sharded CollectorRuntime with direct verb execution;
+// FabricBackend routes every submit through the real dta::Fabric loop
+// instead: reporter UDP/DTA encapsulation, the reporter->translator
+// link, the translator's per-primitive engines, RoCEv2 frame crafting,
+// the rdma link, and the collector NIC executing verbs into registered
+// memory. Every report a client submits is encoded and decoded exactly
+// as it would be on the wire — this is the backend the conformance kit
+// uses to prove the client API observes identical results over the
+// modeled network as over direct execution.
 //
 // Geometry: one collector host, one shard (the Fabric is the paper's
 // single-collector topology). Queries serve from StoreSnapshots copied
@@ -39,7 +40,7 @@ class FabricBackend : public Backend {
   // The store geometry of `config` as a FabricConfig (num_shards
   // collapses to 1; the wire path has no sharding). The conformance
   // fixtures use this to build a Fabric with the same stores as a
-  // LocalBackend.
+  // one-host ClusterBackend.
   static FabricConfig fabric_config_from(
       const collector::CollectorRuntimeConfig& config);
 

@@ -16,7 +16,7 @@
 // one single-service collector per host. For cluster-scale deployments
 // (N hosts x M shards, async queries, replica failover) use
 // dta::ClusterRuntime, which drives the sharded CollectorRuntime behind
-// the same two-level router this class routes with.
+// the same host-tier router this class routes with.
 #pragma once
 
 #include <memory>

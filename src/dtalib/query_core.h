@@ -1,7 +1,7 @@
 // Shared query-resolution core — the merge and range helpers every
 // Backend resolves with.
 //
-// LocalBackend/ClusterBackend (client.cc) and FabricBackend
+// ClusterBackend (client.cc) and FabricBackend
 // (fabric_backend.cc) pin different snapshot topologies, but the value
 // semantics must be identical: one replica-merge per primitive, and one
 // candidate-scan loop for range queries. Keeping the helpers here —

@@ -44,8 +44,9 @@ struct AppendStats {
 class AppendEngine {
  public:
   // `batch_size` B: number of entries coalesced into one RDMA WRITE.
-  // Entries_per_list must be a multiple of B so batches never straddle
-  // the ring wrap (the hardware prototype guarantees this by allocation).
+  // Entries_per_list must be a multiple of B (the hardware prototype
+  // guarantees this by allocation); a batch that reaches the list end
+  // is emitted short, so no write ever straddles the ring wrap.
   AppendEngine(AppendGeometry geometry, std::uint32_t batch_size);
 
   // Ingests the entries of one Append report; appends any triggered
@@ -53,8 +54,9 @@ class AppendEngine {
   void ingest(const proto::AppendReport& report, bool immediate,
               std::vector<RdmaOp>& out);
 
-  // Flushes partially filled batches (end-of-run drain; emits short
-  // writes, which the ring tolerates).
+  // Flushes partially filled batches (emits short writes, which the
+  // ring tolerates; the head is then off the batch grid until the next
+  // wrap).
   void flush_all(std::vector<RdmaOp>& out);
 
   std::uint64_t head(std::uint32_t list) const {

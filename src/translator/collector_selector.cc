@@ -90,54 +90,4 @@ std::vector<std::uint32_t> CollectorSelector::route(
   return out;
 }
 
-std::vector<ClusterRoute> CollectorSelector::route_cluster(
-    const proto::Report& report, std::uint32_t dst_ip) {
-  // Keyed reports under kByKeyHash resolve both tiers with a single
-  // interleaved pass over the key bytes instead of one CRC per tier.
-  if (policy_ == PartitionPolicy::kByKeyHash) {
-    const proto::TelemetryKey* key = std::visit(
-        [](const auto& r) -> const proto::TelemetryKey* {
-          using T = std::decay_t<decltype(r)>;
-          if constexpr (std::is_same_v<T, proto::KeyWriteReport> ||
-                        std::is_same_v<T, proto::KeyIncrementReport> ||
-                        std::is_same_v<T, proto::PostcardReport>) {
-            return &r.key;
-          } else {
-            return nullptr;
-          }
-        },
-        report);
-    if (key != nullptr) {
-      const common::HostShard hs = common::host_shard_of_key(
-          key->span(), num_collectors_, shards_per_host_);
-      ++stats_.routed;
-      stats_.per_collector[hs.host]++;
-      return {ClusterRoute{hs.host, hs.shard}};
-    }
-  }
-
-  const std::vector<std::uint32_t> hosts = route(report, dst_ip);
-
-  // The shard tier only looks at the key (or the host-local list id),
-  // so it is identical for every host copy under kReplicate.
-  std::uint32_t shard = 0;
-  std::visit(
-      [&](const auto& r) {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, proto::KeyWriteReport> ||
-                      std::is_same_v<T, proto::KeyIncrementReport> ||
-                      std::is_same_v<T, proto::PostcardReport>) {
-          shard = shard_within_host(r.key);
-        } else if constexpr (std::is_same_v<T, proto::AppendReport>) {
-          shard = shard_within_host_of_list(host_local_list(r.list_id));
-        }
-      },
-      report);
-
-  std::vector<ClusterRoute> out;
-  out.reserve(hosts.size());
-  for (std::uint32_t host : hosts) out.push_back(ClusterRoute{host, shard});
-  return out;
-}
-
 }  // namespace dta::translator

@@ -17,10 +17,11 @@
 // one collector.
 //
 // Two-level routing: when each collector host itself runs a sharded
-// CollectorRuntime, route_cluster() composes the host-level policy with
-// the intra-host shard router (common/shard_math.h) into one (host,
-// shard) decision, so kByKeyHash, kByDestinationIp and kReplicate all
-// compose with intra-host sharding without any second routing pass.
+// CollectorRuntime, route() decides only the host tier, and the host's
+// runtime places the report on a shard by key CRC
+// (common/shard_math.h). The stat-free probes below answer both tiers
+// for the query path. Every policy composes with intra-host sharding,
+// and every report is hashed once per tier.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +45,6 @@ struct SelectorStats {
   std::vector<std::uint64_t> per_collector;
 };
 
-// One routing decision of the two-level router: a collector host and the
-// shard within that host's runtime.
-struct ClusterRoute {
-  std::uint32_t host = 0;
-  std::uint32_t shard = 0;
-  bool operator==(const ClusterRoute& o) const {
-    return host == o.host && shard == o.shard;
-  }
-  bool operator!=(const ClusterRoute& o) const { return !(*this == o); }
-};
-
 class CollectorSelector {
  public:
   CollectorSelector(PartitionPolicy policy, std::uint32_t num_collectors,
@@ -65,13 +55,6 @@ class CollectorSelector {
   // kByDestinationIp (maps IPs round-robin onto the collector set).
   std::vector<std::uint32_t> route(const proto::Report& report,
                                    std::uint32_t dst_ip);
-
-  // Two-level routing: the hosts from route(), each paired with the
-  // shard the host's runtime will place the report on. Under kReplicate
-  // every copy lands on the same shard index of its host (the shard
-  // router only sees the key).
-  std::vector<ClusterRoute> route_cluster(const proto::Report& report,
-                                          std::uint32_t dst_ip);
 
   // --- stat-free probes for the query path ----------------------------------
   // The host that owns a key/list, when the policy determines one

@@ -1,7 +1,8 @@
 // Backend-conformance kit: every dta::Client scenario holds over all
-// four Backend kinds — LocalBackend (direct execution), ClusterBackend
-// (replicated hosts), FabricBackend (the real UDP/translator/RoCE wire
-// loop) and ReplayBackend (recording decorator) — and the record/replay
+// four Backend kinds — one-host ClusterBackend (direct execution, the
+// Client::local shape), two-host ClusterBackend (replicated hosts),
+// FabricBackend (the real UDP/translator/RoCE wire loop) and
+// ReplayBackend (recording decorator) — and the record/replay
 // differential: a trace recorded from any backend replays into a fresh
 // backend with identical client-visible results, and two replays of the
 // same trace produce byte-identical store state.
@@ -613,7 +614,7 @@ TEST(BackendDifferentialTest, OneTraceIdenticalResultsAcrossAllBackends) {
   const auto workload = conformance_workload(600);
   const auto probes = conformance_probes();
 
-  ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+  ReplayBackend recorder(make_backend(BackendKind::kLocal, config));
   submit_workload(recorder, workload);
   // Serialize + decode round-trip: the replayed records are the ones
   // that went through the wire format, not the in-memory ones.
@@ -644,7 +645,7 @@ TEST_P(BackendConformanceTest, ReplayDeterminismByteIdenticalStores) {
   const auto config = conformance_host_config();
   const auto workload = conformance_workload(400);
 
-  ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+  ReplayBackend recorder(make_backend(BackendKind::kLocal, config));
   submit_workload(recorder, workload);
   const auto records = recorder.records();
 
@@ -658,14 +659,14 @@ TEST_P(BackendConformanceTest, ReplayDeterminismByteIdenticalStores) {
 
 // The wire path computes the same bytes as direct execution: a trace
 // replayed through the Fabric leaves the single-shard stores
-// byte-identical to LocalBackend's (the PR 7 direct-vs-wire
-// equivalence, now holding end-to-end through the serving plane).
+// byte-identical to the one-host ClusterBackend's (the direct-vs-wire
+// equivalence, holding end-to-end through the serving plane).
 TEST(BackendDifferentialTest, WireAndDirectStoresByteIdentical) {
   const auto config =
       conformance_host_config(collector::ThreadMode::kInline, 1);
   const auto workload = conformance_workload(400);
 
-  ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+  ReplayBackend recorder(make_backend(BackendKind::kLocal, config));
   submit_workload(recorder, workload);
   const auto records = recorder.records();
 

@@ -4,11 +4,12 @@
 // compare across backends.
 //
 // Four kinds:
-//   kLocal   — sharded CollectorRuntime, direct verb execution
+//   kLocal   — the Client::local shape: a one-host ClusterBackend
+//              (sharded CollectorRuntime, direct verb execution)
 //   kCluster — 2 hosts x M shards behind the two-level router
 //   kFabric  — the wire-fidelity path (reporter UDP -> translator ->
 //              RoCE -> collector NIC), one host, one shard
-//   kReplay  — ReplayBackend recording over a LocalBackend
+//   kReplay  — ReplayBackend recording over a kLocal backend
 #pragma once
 
 #include <cstring>
@@ -76,14 +77,12 @@ inline std::unique_ptr<Backend> make_backend(
         translator::PartitionPolicy::kReplicate) {
   switch (kind) {
     case BackendKind::kLocal:
-      return std::make_unique<LocalBackend>(config);
-    case BackendKind::kCluster: {
-      ClusterRuntimeConfig cluster;
-      cluster.num_hosts = 2;
-      cluster.policy = policy;
-      cluster.host = config;
-      return std::make_unique<ClusterBackend>(cluster);
-    }
+      // Exactly what Client::local builds.
+      return std::make_unique<ClusterBackend>(ClusterRuntimeConfig{
+          config, /*num_hosts=*/1, translator::PartitionPolicy::kByKeyHash});
+    case BackendKind::kCluster:
+      return std::make_unique<ClusterBackend>(
+          ClusterRuntimeConfig{config, /*num_hosts=*/2, policy});
     case BackendKind::kFabric:
       // The Fabric is inherently synchronous and single-shard; the
       // thread mode and shard count of `config` do not apply to it.
@@ -91,7 +90,7 @@ inline std::unique_ptr<Backend> make_backend(
           FabricBackend::fabric_config_from(config));
     case BackendKind::kReplay:
       return std::make_unique<ReplayBackend>(
-          std::make_unique<LocalBackend>(config));
+          make_backend(BackendKind::kLocal, config));
   }
   return nullptr;
 }
@@ -135,13 +134,6 @@ inline std::vector<common::Bytes> store_images(Backend& backend) {
   std::vector<common::Bytes> out;
   if (auto* replay = dynamic_cast<ReplayBackend*>(&backend)) {
     return store_images(replay->inner());
-  }
-  if (auto* local = dynamic_cast<LocalBackend*>(&backend)) {
-    auto& runtime = local->runtime();
-    for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {
-      append_snapshot_images(*runtime.snapshot_shard_fresh(s), out);
-    }
-    return out;
   }
   if (auto* cluster = dynamic_cast<ClusterBackend*>(&backend)) {
     auto& runtime = cluster->cluster();

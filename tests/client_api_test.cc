@@ -1,8 +1,9 @@
 // dtalib v2 acceptance tests: every primitive round-trips through the
-// typed dta::Client facade identically against LocalBackend (sharded
-// CollectorRuntime) and ClusterBackend (N hosts x M shards, replica
-// failover), and every failure mode of the error model comes back as a
-// distinct dta::Status code — no bools, no optionals, no asserts/UB.
+// typed dta::Client facade identically against Client::local (a
+// one-host ClusterBackend over a sharded CollectorRuntime) and a
+// multi-host ClusterBackend (N hosts x M shards, replica failover),
+// and every failure mode of the error model comes back as a distinct
+// dta::Status code — no bools, no optionals, no asserts/UB.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -546,6 +547,53 @@ TEST(ClientApiClusterTest, KeyHashDeadOwnerLosesOnlyItsPartition) {
 }
 
 // -------------------------------------------- staleness-budget path
+
+TEST(ClientApiLocalTest, LocalRuntimeIsHostZeroOfAOneHostCluster) {
+  // Client::local is a one-host ClusterBackend: the runtime accessor is
+  // that host, and it is absent for any other host count.
+  Client local = Client::local(host_config());
+  ASSERT_NE(local.cluster_runtime(), nullptr);
+  EXPECT_EQ(local.cluster_runtime()->num_hosts(), 1u);
+  ASSERT_NE(local.local_runtime(), nullptr);
+  EXPECT_EQ(local.local_runtime(), &local.cluster_runtime()->host(0));
+
+  Client cluster = make_client(BackendKind::kCluster);
+  EXPECT_EQ(cluster.local_runtime(), nullptr);
+  EXPECT_NE(cluster.cluster_runtime(), nullptr);
+}
+
+TEST(ClientApiLocalTest, AppendRingWrapsAfterUnalignedFlush) {
+  // Batched Append (B=16 over 256-entry rings): a flush after 5 entries
+  // leaves the ring head off the batch grid, then the ring wraps. The
+  // last list of the last shard is used, so a batch written across the
+  // list end would run past the store region and fail the verb.
+  auto config = host_config();
+  config.append_batch_size = 16;
+  Client client = Client::local(config);
+  const std::uint32_t list_id = config.append->num_lists - 1;
+  auto list = client.list(list_id);
+  std::uint32_t appended = 0;
+  for (; appended < 5; ++appended) {
+    ASSERT_TRUE(list.append_u32(appended).ok());
+  }
+  ASSERT_TRUE(client.flush().ok());
+  for (; appended < 305; ++appended) {
+    ASSERT_TRUE(list.append_u32(appended).ok());
+  }
+  ASSERT_TRUE(client.flush().ok());
+  EXPECT_EQ(client.stats().ingest.verbs_failed, 0u);
+
+  const std::uint64_t capacity = config.append->entries_per_list;
+  const auto events = client.events(list_id).since(0).max(1000).run();
+  ASSERT_TRUE(events.ok()) << events.status().to_string();
+  EXPECT_EQ(events->dropped, appended - capacity);
+  ASSERT_EQ(events->entries.size(), capacity);
+  for (std::uint64_t i = 0; i < capacity; ++i) {
+    EXPECT_EQ(common::load_u32(events->entries[i].data()),
+              appended - capacity + i)
+        << "entry " << i;
+  }
+}
 
 TEST_P(ClientApiTest, StalenessBudgetServesStaleAndFloorOverrides) {
   Client client = make_client(GetParam());

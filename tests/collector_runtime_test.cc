@@ -1,5 +1,5 @@
 // Sharded collector runtime tests, driven through the dta::Client
-// facade (LocalBackend): routing stability, cross-shard query merge,
+// facade (Client::local): routing stability, cross-shard query merge,
 // batch/shutdown flushing, and equivalence of a 1-shard runtime with
 // the unsharded store path. Reports are built by the shared typed
 // builders (dta/report_builders.h); internals (shard stats, store

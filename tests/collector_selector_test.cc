@@ -147,6 +147,9 @@ TEST(CollectorSelector, ReplicateStatsCountEveryCopy) {
 }
 
 // ------------------------------------------------- two-level mapping
+// route() decides the host tier; the host runtime places the report on
+// a shard with the same function the query tier probes with
+// (shard_within_host / shard_within_host_of_list, common/shard_math.h).
 
 TEST(CollectorSelector, TwoLevelMappingIsDeterministic) {
   // The (host, shard) decision must be a pure function of the report:
@@ -155,16 +158,19 @@ TEST(CollectorSelector, TwoLevelMappingIsDeterministic) {
   CollectorSelector a(PartitionPolicy::kByKeyHash, 4, 4);
   CollectorSelector b(PartitionPolicy::kByKeyHash, 4, 4);
   for (std::uint64_t id = 0; id < 300; ++id) {
-    const auto ra = a.route_cluster(keywrite(id), 0);
-    const auto rb = b.route_cluster(keywrite(id), 0);
+    const auto ra = a.route(keywrite(id), 0);
+    const auto rb = b.route(keywrite(id), 0);
     ASSERT_EQ(ra.size(), 1u);
     EXPECT_EQ(ra, rb) << "key " << id;
-    EXPECT_EQ(ra, a.route_cluster(keywrite(id), 0)) << "key " << id;
-    EXPECT_LT(ra[0].host, 4u);
-    EXPECT_LT(ra[0].shard, 4u);
-    // The probe API used by the query tier agrees with the route.
-    EXPECT_EQ(*a.owner_host(key_of(id)), ra[0].host);
-    EXPECT_EQ(a.shard_within_host(key_of(id)), ra[0].shard);
+    EXPECT_EQ(ra, a.route(keywrite(id), 0)) << "key " << id;
+    EXPECT_LT(ra[0], 4u);
+    const std::uint32_t shard = a.shard_within_host(key_of(id));
+    EXPECT_LT(shard, 4u);
+    EXPECT_EQ(shard, b.shard_within_host(key_of(id))) << "key " << id;
+    // The probes used by the query tier agree with the ingest side:
+    // the owner is the routed host, the shard is the host runtime's.
+    EXPECT_EQ(*a.owner_host(key_of(id)), ra[0]);
+    EXPECT_EQ(shard, common::shard_of_key(key_of(id).span(), 4));
   }
 }
 
@@ -174,8 +180,9 @@ TEST(CollectorSelector, TwoLevelTiersAreUncorrelated) {
   CollectorSelector selector(PartitionPolicy::kByKeyHash, 4, 4);
   std::array<std::set<std::uint32_t>, 4> shards_per_host;
   for (std::uint64_t id = 0; id < 2000; ++id) {
-    const auto route = selector.route_cluster(keywrite(id), 0);
-    shards_per_host[route[0].host].insert(route[0].shard);
+    const auto route = selector.route(keywrite(id), 0);
+    ASSERT_EQ(route.size(), 1u);
+    shards_per_host[route[0]].insert(selector.shard_within_host(key_of(id)));
   }
   for (std::uint32_t h = 0; h < 4; ++h) {
     EXPECT_EQ(shards_per_host[h].size(), 4u)
@@ -186,11 +193,20 @@ TEST(CollectorSelector, TwoLevelTiersAreUncorrelated) {
 TEST(CollectorSelector, ReplicateCopiesShareTheShardIndex) {
   // The shard tier only sees the key, so every replica host places the
   // copy on the same shard index — queries probe one shard per host.
+  // Each host's runtime is a one-host deployment of the same geometry:
+  // its shard placement must equal the replicated selector's single
+  // probe, whatever host or address the copy was routed by.
   CollectorSelector selector(PartitionPolicy::kReplicate, 3, 4);
+  const CollectorSelector host_runtime(PartitionPolicy::kByKeyHash, 1, 4);
   for (std::uint64_t id = 0; id < 100; ++id) {
-    const auto route = selector.route_cluster(keywrite(id), 0);
-    ASSERT_EQ(route.size(), 3u);
-    for (const auto& r : route) EXPECT_EQ(r.shard, route[0].shard);
+    const auto route =
+        selector.route(keywrite(id), static_cast<std::uint32_t>(id));
+    EXPECT_EQ(route, (std::vector<std::uint32_t>{0, 1, 2}));
+    const std::uint32_t probe = selector.shard_within_host(key_of(id));
+    EXPECT_EQ(probe, host_runtime.shard_within_host(key_of(id)))
+        << "key " << id;
+    EXPECT_EQ(probe, common::shard_of_key(key_of(id).span(), 4))
+        << "key " << id;
   }
 }
 
@@ -201,13 +217,15 @@ TEST(CollectorSelector, TwoLevelAppendMappingIsDense) {
   CollectorSelector selector(PartitionPolicy::kByKeyHash, hosts, shards);
   std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> placed;
   for (std::uint32_t list = 0; list < 16; ++list) {
-    const auto route = selector.route_cluster(append(list), 0);
+    const auto route = selector.route(append(list), 0);
     ASSERT_EQ(route.size(), 1u);
+    EXPECT_EQ(*selector.owner_host_of_list(list), route[0]);
     const std::uint32_t local = selector.host_local_list(list);
+    // The host runtime's shard tier over the host-local id.
+    const std::uint32_t shard = common::list_partition(local, shards);
+    EXPECT_EQ(shard, selector.shard_within_host_of_list(local));
     const std::uint32_t shard_local = common::list_local_id(local, shards);
-    EXPECT_EQ(route[0].shard, selector.shard_within_host_of_list(local));
-    const auto placement =
-        std::make_tuple(route[0].host, route[0].shard, shard_local);
+    const auto placement = std::make_tuple(route[0], shard, shard_local);
     EXPECT_TRUE(placed.insert(placement).second)
         << "list " << list << " aliases another list's slot";
     EXPECT_LT(shard_local, 16u / (hosts * shards));

@@ -425,6 +425,31 @@ TEST_F(AppendEngineTest, FlushEmitsPartialBatch) {
   EXPECT_EQ(ops[0].payload.size(), 20u);
 }
 
+TEST_F(AppendEngineTest, UnalignedFlushNeverStraddlesTheListEnd) {
+  // flush_all leaves the head off the batch grid (5 of 32 entries); the
+  // following full batches must still end at the list end instead of
+  // writing across it into the next list.
+  geometry_.entries_per_list = 32;
+  AppendEngine engine(geometry_, 16);
+  std::vector<RdmaOp> ops;
+  for (std::uint32_t i = 0; i < 5; ++i) engine.ingest(entry(1, i), false, ops);
+  engine.flush_all(ops);
+  for (std::uint32_t i = 5; i < 37; ++i) engine.ingest(entry(1, i), false, ops);
+  engine.flush_all(ops);
+
+  std::uint64_t entries = 0;
+  for (const auto& op : ops) {
+    EXPECT_GE(op.remote_va, geometry_.list_base(1));
+    EXPECT_LE(op.remote_va + op.payload.size(),
+              geometry_.list_base(1) + geometry_.list_bytes())
+        << "write at list offset 0x" << std::hex
+        << (op.remote_va - geometry_.list_base(1)) << " crosses the list end";
+    entries += op.payload.size() / geometry_.entry_bytes;
+  }
+  EXPECT_EQ(entries, 37u);
+  EXPECT_EQ(engine.head(1), 37u % 32);
+}
+
 TEST_F(AppendEngineTest, NoBatchingEmitsPerEntry) {
   AppendEngine engine(geometry_, 1);
   std::vector<RdmaOp> ops;
