@@ -5,7 +5,9 @@
 // the paper). This class is the *host-side* object: it owns the service,
 // feeds inbound frames to the NIC, surfaces ACK/NAK feedback for the
 // translator, and exposes the query stores and immediate-completion
-// events to applications.
+// events to applications. dta::Fabric (the wire-fidelity topology) is
+// its only host; the sharded runtime's CollectorShard owns its
+// RdmaService directly.
 #pragma once
 
 #include <functional>

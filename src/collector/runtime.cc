@@ -30,7 +30,6 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
     sc.postcard_cache_slots = config_.postcard_cache_slots;
     sc.snapshot_chunk_bytes = config_.snapshot_chunk_bytes;
     sc.direct_execution = config_.direct_execution;
-    sc.hugepage_store_memory = config_.hugepage_store_memory;
     if (config_.keywrite) {
       KeyWriteSetup kw = *config_.keywrite;
       kw.num_slots = slice(kw.num_slots, n, 1024);
@@ -82,7 +81,6 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
   pc.numa_first_touch = config_.numa_first_touch;
   pipeline_ = std::make_unique<IngestPipeline>(std::move(shard_ptrs), pc);
   SnapshotCacheConfig cache_config;
-  cache_config.incremental = config_.incremental_snapshots;
   cache_config.full_copy_dirty_ratio = config_.snapshot_full_copy_ratio;
   snapshot_cache_ =
       std::make_unique<SnapshotCache>(shards_.size(), cache_config);

@@ -47,11 +47,10 @@ struct CollectorRuntimeConfig {
   std::uint32_t queue_capacity = 4096;
   ThreadMode thread_mode = ThreadMode::kAuto;
 
-  // Hot-path switches (see ShardConfig for semantics): direct verb
+  // Hot-path switch (see ShardConfig for semantics): direct verb
   // execution on the shard's queue pair instead of per-verb RoCE frame
-  // craft + parse, and transparent-huge-page advice for store regions.
+  // craft + parse.
   bool direct_execution = true;
-  bool hugepage_store_memory = true;
 
   // CPU affinity for shard workers (no-op when unset): worker i is
   // pinned to worker_cores[i], or to core i when the list is shorter.
@@ -63,14 +62,14 @@ struct CollectorRuntimeConfig {
   std::vector<int> worker_cores;
   bool numa_first_touch = true;
 
-  // Snapshot tier. Incremental refresh patches only the chunks ingest
-  // dirtied since the last refresh (snapshot_chunk_bytes granularity,
-  // rounded up to a power of two) instead of recopying whole stores;
-  // past snapshot_full_copy_ratio dirty it falls back to one full
-  // memcpy. The staleness budget lets snapshot_shard_bounded serve a
-  // cached snapshot within the budget without any refresh or quiesce
-  // (disabled by default: zero budget means exact freshness).
-  bool incremental_snapshots = true;
+  // Snapshot tier. After the first full copy, a refresh patches only
+  // the chunks ingest dirtied since the last refresh
+  // (snapshot_chunk_bytes granularity, rounded up to a power of two)
+  // instead of recopying whole stores; past snapshot_full_copy_ratio
+  // dirty it falls back to one full memcpy. The staleness budget lets
+  // snapshot_shard_bounded serve a cached snapshot within the budget
+  // without any refresh or quiesce (disabled by default: zero budget
+  // means exact freshness).
   std::uint32_t snapshot_chunk_bytes = 4096;
   double snapshot_full_copy_ratio = 0.5;
   SnapshotStalenessBudget staleness_budget;

@@ -53,9 +53,10 @@ CollectorShard::CollectorShard(std::uint32_t index, const ShardConfig& config)
       direct_execution_(config.direct_execution),
       service_(config.nic),
       dirty_(config.snapshot_chunk_bytes) {
-  if (config.hugepage_store_memory) {
-    service_.nic().pd().set_hugepage_hint(true);
-  }
+  // Transparent huge pages for store regions (MADV_HUGEPAGE on the
+  // 2 MiB-aligned interior; the paper puts all RDMA-registered memory on
+  // huge pages). Best-effort, no-op off-Linux.
+  service_.nic().pd().set_hugepage_hint(true);
   // Placement hint before any store memory is allocated: regions the
   // enable_* calls register below are asked onto the worker's node.
   if (config.numa_node >= 0) {

@@ -58,11 +58,6 @@ struct ShardConfig {
   // space here, so the frame round-trip is pure overhead; disable for
   // full wire parity (every verb serialized, ICRC'd and PSN-checked).
   bool direct_execution = true;
-  // Advise the kernel to back store regions with transparent huge
-  // pages (MADV_HUGEPAGE on the 2 MiB-aligned interior; the paper puts
-  // all RDMA-registered memory on huge pages). Best-effort, no-op
-  // off-Linux.
-  bool hugepage_store_memory = true;
 };
 
 struct ShardStats {

@@ -2,9 +2,9 @@
 //
 // The collection ceiling is the collector NIC message rate; DTA raises
 // it by partitioning reports, and this class composes the two partition
-// dimensions: N collector *hosts* (each its own NIC/QP set and
-// translator-side RDMA connection) x M *shards* per host (the intra-
-// host CollectorRuntime tier). Routing is one decision per tier, both
+// dimensions: N collector *hosts* (each its own NIC/QP set) x M
+// *shards* per host (the intra-host CollectorRuntime tier), where every
+// shard owns its own RoCE crafter and queue pair. Routing is one decision per tier, both
 // from the shared routing math (common/shard_math.h): the host by
 // partition policy — kByKeyHash, kByDestinationIp or kReplicate —
 // through translator::CollectorSelector, then the shard by key CRC

@@ -20,15 +20,8 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
   translator_ = std::make_unique<translator::Translator>(
       config_.translator, accept.responder_qpn, accept.start_psn, accept);
 
-  // Links.
-  reporter_link_ = std::make_unique<net::Link>(config_.reporter_link);
+  // Wire: the translator's RoCE frames ride the RDMA link...
   rdma_link_ = std::make_unique<net::Link>(config_.rdma_link);
-
-  // Wire: reporter link delivers into the translator...
-  reporter_link_->set_sink([this](net::Packet&& pkt) {
-    translator_->ingest(std::move(pkt), pkt.arrival_ns);
-  });
-  // ...the translator's RoCE frames ride the RDMA link...
   translator_->set_rdma_sink([this](net::Packet&& pkt) {
     rdma_link_->transmit(std::move(pkt), clock_.now());
   });
@@ -59,11 +52,21 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
     if (idx < reporters_.size()) reporters_[idx]->handle_nack(*nack);
   });
 
+  // Each reporter's uplink delivers into the translator; seeds differ so
+  // lossy uplinks drop independently.
   for (std::uint32_t i = 0; i < config_.num_reporters; ++i) {
     reporter::ReporterConfig rc;
     rc.ip = 0x0A000001 + i;
     rc.src_port = static_cast<std::uint16_t>(51000 + i);
     reporters_.push_back(std::make_unique<reporter::Reporter>(rc));
+
+    net::LinkParams lp = config_.reporter_link;
+    lp.seed += i;
+    auto uplink = std::make_unique<net::Link>(lp);
+    uplink->set_sink([this](net::Packet&& pkt) {
+      translator_->ingest(std::move(pkt), pkt.arrival_ns);
+    });
+    uplinks_.push_back(std::move(uplink));
   }
 }
 
@@ -72,11 +75,12 @@ Fabric::~Fabric() = default;
 void Fabric::report(const proto::Report& report, std::uint32_t reporter_idx,
                     bool immediate) {
   net::Packet frame = reporters_[reporter_idx]->make_frame(report, immediate);
-  reporter_link_->transmit(std::move(frame), clock_.now());
+  net::Link& uplink = *uplinks_[reporter_idx];
+  uplink.transmit(std::move(frame), clock_.now());
   // The next report cannot start serializing before this one left the
-  // reporter's wire: advance the clock to the link's busy horizon (its
+  // reporter's wire: advance the clock to the uplink's busy horizon (its
   // serializer only — propagation is pipelined).
-  clock_.advance_to(reporter_link_->busy_until());
+  clock_.advance_to(uplink.busy_until());
 }
 
 void Fabric::report_direct(const proto::ParsedDta& parsed) {

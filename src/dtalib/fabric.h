@@ -2,7 +2,7 @@
 //
 // Wires the full paper topology in one object:
 //
-//     Reporters --(UDP/DTA, 100G link)--> Translator
+//     Reporters --(UDP/DTA, one 100G uplink each)--> Translator
 //         --(RoCEv2, 100G link)--> Collector NIC --> registered memory
 //
 // including the CM handshake, ACK/NAK feedback (PSN resync), and the
@@ -10,9 +10,15 @@
 // telemetry reports in and run queries against the collector stores;
 // benches read the modeled throughput from the component counters.
 //
-// Fabric is the single-collector wire-fidelity tier; MultiFabric places
-// several of these behind the host-level router, and ClusterRuntime is
-// the N-hosts x M-shards scale tier on the same routing math.
+// Every reporter switch has its own uplink serializer: reporter i's link
+// is FabricConfig::reporter_link with seed reporter_link.seed + i, so
+// lossy uplinks drop independently and reporter 0's link is the same
+// link at any reporter count. Delivery is synchronous, so frames reach
+// the translator in the order report() is called.
+//
+// Fabric is the only wire-fidelity topology (one collector, many
+// reporters); ClusterRuntime is the N-hosts x M-shards scale tier that
+// partitions reports across collectors (§7).
 #pragma once
 
 #include <memory>
@@ -35,7 +41,7 @@ struct FabricConfig {
 
   translator::TranslatorConfig translator;
   rdma::NicParams nic;
-  net::LinkParams reporter_link;  // reporter -> translator
+  net::LinkParams reporter_link;  // reporter -> translator, per reporter
   net::LinkParams rdma_link;      // translator -> collector
   std::uint32_t num_reporters = 1;
 };
@@ -48,8 +54,8 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  // Sends one report from reporter `reporter_idx` through the fabric at
-  // the current virtual time. The full path (encapsulation, link,
+  // Sends one report from reporter `reporter_idx` on its uplink at the
+  // current virtual time. The full path (encapsulation, link,
   // translation, RoCE link, NIC verb execution) runs synchronously.
   void report(const proto::Report& report, std::uint32_t reporter_idx = 0,
               bool immediate = false);
@@ -70,6 +76,7 @@ class Fabric {
   collector::Collector& collector() { return *collector_; }
   translator::Translator& translator() { return *translator_; }
   reporter::Reporter& reporter(std::uint32_t idx) { return *reporters_[idx]; }
+  const net::Link& uplink(std::uint32_t idx) const { return *uplinks_[idx]; }
 
   // Modeled ingest rate: verbs executed per virtual second so far.
   double modeled_verbs_per_sec() const;
@@ -80,7 +87,7 @@ class Fabric {
   std::unique_ptr<collector::Collector> collector_;
   std::unique_ptr<translator::Translator> translator_;
   std::vector<std::unique_ptr<reporter::Reporter>> reporters_;
-  std::unique_ptr<net::Link> reporter_link_;
+  std::vector<std::unique_ptr<net::Link>> uplinks_;  // one per reporter
   std::unique_ptr<net::Link> rdma_link_;
   std::uint64_t verbs_total_ = 0;
 };

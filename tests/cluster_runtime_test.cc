@@ -452,58 +452,5 @@ TEST(ClusterRuntime, UnpinnedIsTheDefaultNoOp) {
   EXPECT_EQ(cluster.host(0).pipeline().stats().workers_pinned, 0u);
 }
 
-// ------------------------------------- translator per-host connections
-
-TEST(Translator, PerHostConnectionsKeepIndependentPsns) {
-  // Two collector hosts, one translator: each connection tracks its own
-  // destination QPN and PSN, and ACK feedback resynchronizes only the
-  // host it came from.
-  collector::RdmaService host0, host1;
-  collector::KeyWriteSetup kw;
-  kw.num_slots = 1 << 10;
-  host0.enable_keywrite(kw);
-  host1.enable_keywrite(kw);
-  rdma::ConnectRequest req;
-  req.requester_qpn = 0x70;
-  req.start_psn = 0x1000;
-  const auto accept0 = host0.accept(req);
-  req.start_psn = 0x2000;
-  const auto accept1 = host1.accept(req);
-
-  translator::Translator translator(translator::TranslatorConfig{},
-                                    accept0.responder_qpn, accept0.start_psn,
-                                    accept0);
-  const std::uint32_t h1 = translator.add_host_connection(accept1);
-  ASSERT_EQ(h1, 1u);
-  EXPECT_EQ(translator.num_host_connections(), 2u);
-
-  translator::RdmaOp op;
-  op.kind = translator::RdmaOp::Kind::kWrite;
-  op.remote_va = accept0.regions[0].base_va;
-  op.rkey = accept0.regions[0].rkey;
-  op.payload = Bytes(8, 0xAB);
-
-  const std::uint32_t psn0 = translator.host_crafter(0).next_psn();
-  const std::uint32_t psn1 = translator.host_crafter(1).next_psn();
-  EXPECT_EQ(psn0, 0x1000u);
-  EXPECT_EQ(psn1, 0x2000u);
-
-  translator.host_crafter(0).craft(op);
-  translator.host_crafter(0).craft(op);
-  op.remote_va = accept1.regions[0].base_va;
-  op.rkey = accept1.regions[0].rkey;
-  translator.host_crafter(1).craft(op);
-
-  EXPECT_EQ(translator.host_crafter(0).next_psn(), psn0 + 2);
-  EXPECT_EQ(translator.host_crafter(1).next_psn(), psn1 + 1);
-
-  // A sequence-error NAK from host 1 resyncs host 1 only.
-  rdma::Aeth nak;
-  nak.syndrome = rdma::AethSyndrome::kPsnSeqNak;
-  translator.handle_host_ack(1, nak, /*responder_expected_psn=*/0x2000);
-  EXPECT_EQ(translator.host_crafter(1).next_psn(), 0x2000u);
-  EXPECT_EQ(translator.host_crafter(0).next_psn(), psn0 + 2);
-}
-
 }  // namespace
 }  // namespace dta
