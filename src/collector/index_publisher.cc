@@ -1,5 +1,7 @@
 #include "collector/index_publisher.h"
 
+#include <algorithm>
+
 namespace dta::collector {
 
 IndexPublisher::IndexPublisher(std::size_t num_shards, Config config)
@@ -13,12 +15,22 @@ IndexPublisher::IndexPublisher(std::size_t num_shards, Config config)
 
 void IndexPublisher::apply_queue_locked(Shard& shard) {
   if (shard.queue.empty()) return;
-  std::uint64_t applied = 0;
-  while (!shard.queue.empty()) {
-    shard.builder.apply(shard.queue.front());
-    shard.queue.pop_front();
-    ++applied;
+  // The whole window folds in as one delta, so a leaf is copied at most
+  // once per window: masks OR-merge and append increments add up the
+  // same in any grouping, and the generation is the window's newest.
+  const std::uint64_t applied = shard.queue.size();
+  IndexDelta window = std::move(shard.queue.front());
+  shard.queue.pop_front();
+  for (const IndexDelta& delta : shard.queue) {
+    window.generation = std::max(window.generation, delta.generation);
+    window.keys.insert(window.keys.end(), delta.keys.begin(),
+                       delta.keys.end());
+    window.append_deltas.insert(window.append_deltas.end(),
+                                delta.append_deltas.begin(),
+                                delta.append_deltas.end());
   }
+  shard.queue.clear();
+  shard.builder.apply(std::move(window));
   std::atomic_store_explicit(&shard.published, shard.builder.publish(),
                              std::memory_order_release);
   deltas_applied_.fetch_add(applied, std::memory_order_relaxed);

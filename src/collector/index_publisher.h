@@ -84,7 +84,8 @@ class IndexPublisher : public IndexSink {
           published(builder.publish()) {}
   };
 
-  // Folds every queued delta into the builder and publishes.
+  // Folds the queued window into the builder as one delta and
+  // publishes.
   void apply_queue_locked(Shard& shard) DTA_REQUIRES(shard.mu);
 
   Config config_;

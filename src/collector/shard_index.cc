@@ -40,7 +40,7 @@ std::uint8_t ShardIndexVersion::lookup(const proto::TelemetryKey& key) const {
 ShardIndexBuilder::ShardIndexBuilder(std::uint32_t target_leaf_entries)
     : target_leaf_entries_(std::max<std::uint32_t>(target_leaf_entries, 2)) {}
 
-void ShardIndexBuilder::apply(const IndexDelta& delta) {
+void ShardIndexBuilder::apply(IndexDelta delta) {
   generation_ = std::max(generation_, delta.generation);
   for (const auto& [list, entries] : delta.append_deltas) {
     if (list >= append_heads_.size()) append_heads_.resize(list + 1, 0);
@@ -50,7 +50,7 @@ void ShardIndexBuilder::apply(const IndexDelta& delta) {
 
   // Sort the delta's keys and OR-merge duplicate masks, so each
   // affected leaf is located and copied at most once per apply.
-  std::vector<IndexEntry> keys = delta.keys;
+  std::vector<IndexEntry>& keys = delta.keys;
   std::sort(keys.begin(), keys.end(),
             [](const IndexEntry& a, const IndexEntry& b) {
               return index_key_less(a.key, b.key);
@@ -98,6 +98,19 @@ void ShardIndexBuilder::apply(const IndexDelta& delta) {
       }
 
       const std::vector<IndexEntry>& old = leaves_[target]->entries;
+      // A group that adds no key and no mask bit leaves the leaf as it
+      // is: shared with the published versions, not copied.
+      bool changes = false;
+      auto at = old.begin();
+      for (std::size_t k = i; k < j && !changes; ++k) {
+        at = std::lower_bound(at, old.end(), keys[k].key, entry_below_key);
+        changes = at == old.end() || at->key != keys[k].key ||
+                  (keys[k].primitives & ~at->primitives) != 0;
+      }
+      if (!changes) {
+        i = j;
+        continue;
+      }
       auto merged = std::make_shared<IndexLeaf>();
       merged->entries.reserve(old.size() + (j - i));
       std::size_t a = 0, b = i;
@@ -124,18 +137,24 @@ void ShardIndexBuilder::apply(const IndexDelta& delta) {
     }
   }
 
-  // Split oversized leaves (an apply can at most double a leaf, so one
-  // pass suffices). Splitting replaces fresh, unshared leaves only.
+  // Cut every leaf grown past 2 x target into ceil(n / target) even
+  // pieces — a first or large delta can grow a leaf by any factor.
+  // Only fresh, unshared leaves are ever oversized.
+  const std::size_t cap = target_leaf_entries_;
   for (std::size_t l = 0; l < leaves_.size(); ++l) {
-    if (leaves_[l]->entries.size() <= 2u * target_leaf_entries_) continue;
-    const std::vector<IndexEntry>& big = leaves_[l]->entries;
-    const std::size_t half = big.size() / 2;
-    auto left = std::make_shared<IndexLeaf>(
-        IndexLeaf{{big.begin(), big.begin() + half}});
-    auto right = std::make_shared<IndexLeaf>(
-        IndexLeaf{{big.begin() + half, big.end()}});
-    leaves_[l] = std::move(left);
-    leaves_.insert(leaves_.begin() + l + 1, std::move(right));
+    const std::size_t n = leaves_[l]->entries.size();
+    if (n <= 2 * cap) continue;
+    const std::size_t pieces = (n + cap - 1) / cap;
+    const auto first = leaves_[l]->entries.begin();
+    std::vector<std::shared_ptr<const IndexLeaf>> cut;
+    cut.reserve(pieces);
+    for (std::size_t p = 0; p < pieces; ++p) {
+      cut.push_back(std::make_shared<IndexLeaf>(
+          IndexLeaf{{first + n * p / pieces, first + n * (p + 1) / pieces}}));
+    }
+    leaves_[l] = cut.front();
+    leaves_.insert(leaves_.begin() + l + 1, cut.begin() + 1, cut.end());
+    l += pieces - 1;
   }
 }
 

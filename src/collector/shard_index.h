@@ -14,10 +14,16 @@
 // (DT_INCREMENTAL_BUILD / DT_DEFER_PUBLISH / DT_LEAF_ONLY_COW /
 // OVS_VERSION_MECHANISM): a published ShardIndexVersion is an immutable
 // vector of immutable sorted leaves, readers walk it lock-free, and the
-// builder replaces only the leaves a delta touches (leaf-only
+// builder replaces only the leaves a delta changes (leaf-only
 // copy-on-write) — the root is one shared_ptr vector copied per
-// publish. Versions carry the same generation stamp the SnapshotCache
-// compares, so "index generation >= snapshot generation" is the
+// publish. A leaf whose delta keys are all present with their mask
+// bits already set is not copied at all, so a delta over a fixed key
+// population shares every leaf; a leaf a delta grows past twice the
+// target size is cut into even pieces of at most the target, however
+// large the delta. Keys are ordered by `index_key_less`: byte-wise
+// lexicographic, computed as two big-endian word compares. Versions
+// carry the same generation stamp the SnapshotCache compares, so
+// "index generation >= snapshot generation" is the
 // consistency contract: the index then contains every key whose data is
 // in the snapshot (keys are never deleted, so later index generations
 // are supersets), and any extra keys resolve as point-query misses
@@ -48,12 +54,18 @@ struct IndexEntry {
 
 // The index orders keys lexicographically on their byte spans (shorter
 // key sorts first on a shared prefix) — TelemetryKey itself only
-// defines equality.
+// defines equality. Because `bytes` is zero past `length`, comparing
+// the two zero-padded 8-byte halves as big-endian words and then the
+// lengths is that same order at a fixed cost of two word compares.
 inline bool index_key_less(const proto::TelemetryKey& a,
                            const proto::TelemetryKey& b) {
-  const common::ByteSpan sa = a.span(), sb = b.span();
-  return std::lexicographical_compare(sa.begin(), sa.end(), sb.begin(),
-                                      sb.end());
+  const std::uint64_t a_hi = common::load_u64(a.bytes.data());
+  const std::uint64_t b_hi = common::load_u64(b.bytes.data());
+  if (a_hi != b_hi) return a_hi < b_hi;
+  const std::uint64_t a_lo = common::load_u64(a.bytes.data() + 8);
+  const std::uint64_t b_lo = common::load_u64(b.bytes.data() + 8);
+  if (a_lo != b_lo) return a_lo < b_lo;
+  return a.length < b.length;
 }
 
 // One delivered op batch's worth of index maintenance: the keys the
@@ -170,8 +182,9 @@ class ShardIndexBuilder {
 
   // Folds one delta in: new keys inserted in order, existing keys get
   // their primitive masks OR-merged, append heads advance. Only the
-  // leaves the delta's keys land in are copied.
-  void apply(const IndexDelta& delta);
+  // leaves that gain a key or a mask bit are copied; any leaf grown
+  // past 2 x target entries is cut into pieces of at most target.
+  void apply(IndexDelta delta);
 
   // Freezes the current state into an immutable version (cheap: copies
   // the leaf-pointer vector, shares every leaf).

@@ -54,6 +54,12 @@ struct DtaHeader {
 
 // Telemetry keys are arbitrary byte strings up to 16 bytes (flow
 // 5-tuples are 13; query IDs / source IPs are 4).
+//
+// Invariant: `bytes` is zero past `length`. `from` (or a value-
+// initialized key) is the only way a key is made, and it copies just
+// `length` bytes into a zeroed array; `operator==` compares the whole
+// array and the secondary index's key order compares it as two
+// big-endian words, so both rely on the zero padding.
 struct TelemetryKey {
   std::array<std::uint8_t, 16> bytes{};
   std::uint8_t length = 0;

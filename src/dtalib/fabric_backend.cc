@@ -136,7 +136,7 @@ Expected<Backend::SnapshotPtr> FabricBackend::acquire_locked(
         staged_append_[list] = 0;
       }
     }
-    index_builder_.apply(delta);
+    index_builder_.apply(std::move(delta));
     index_ = index_builder_.publish();
     auto snap = std::make_shared<collector::StoreSnapshot>(
         fabric_->collector().service(), ++generation_);

@@ -1,6 +1,9 @@
 // Secondary-index tests: incremental builds equal one-shot rebuilds
 // (leaf geometry notwithstanding), leaf-only COW actually shares
-// untouched leaves, the defer-publish window lags until the batch or a
+// untouched leaves and copies none for a delta over known keys, a
+// large apply leaves no oversized leaf, the word-compare key order
+// equals the byte order, a folded publish window equals sequential
+// applies, the defer-publish window lags until the batch or a
 // reader catch-up, the runtime's per-shard indexes cover every pinned
 // snapshot across all four stores, event cursors resume/drop/wrap
 // correctly over small rings, and the whole thing survives a TSan
@@ -11,6 +14,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -123,17 +127,13 @@ TEST(ShardIndexBuilder, VisitRangeBoundsAndLookup) {
 }
 
 TEST(ShardIndexBuilder, LeafOnlyCowSharesUntouchedLeaves) {
-  // Seed incrementally (4 keys per delta) so every leaf settles at or
-  // below the 2x-target split bound before the COW probe.
   ShardIndexBuilder builder(/*target_leaf_entries=*/4);
-  for (std::uint32_t g = 0; g < 16; ++g) {
-    IndexDelta seed;
-    seed.generation = g + 1;
-    for (std::uint32_t j = 0; j < 4; ++j) {
-      seed.keys.push_back({u32_key(g * 4 + j), kIndexKeyWrite});
-    }
-    builder.apply(seed);
+  IndexDelta seed;
+  seed.generation = 16;
+  for (std::uint32_t id = 0; id < 64; ++id) {
+    seed.keys.push_back({u32_key(id), kIndexKeyWrite});
   }
+  builder.apply(seed);
   const auto before = builder.publish();
   ASSERT_GT(before->leaves().size(), 4u);
 
@@ -157,6 +157,165 @@ TEST(ShardIndexBuilder, LeafOnlyCowSharesUntouchedLeaves) {
   EXPECT_EQ(after->lookup(u32_key(30)), kIndexKeyWrite | kIndexKeyIncrement);
   // The old version is immutable: still the old mask.
   EXPECT_EQ(before->lookup(u32_key(30)), kIndexKeyWrite);
+}
+
+TEST(ShardIndexBuilder, LargeApplyCutsEveryLeafToTheSplitBound) {
+  // One 10,000-key apply, into an empty builder and then into a
+  // populated one: every leaf ends at or below 2 x target, and the
+  // contents equal a one-shot build into a single leaf.
+  constexpr std::uint32_t kTarget = 128;
+  ShardIndexBuilder cut(kTarget);
+  ShardIndexBuilder one_leaf(/*target_leaf_entries=*/1u << 30);
+  auto delta_of = [](std::uint64_t g, std::uint32_t first,
+                     std::uint32_t count, std::uint32_t stride) {
+    IndexDelta delta;
+    delta.generation = g;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      delta.keys.push_back({u32_key(first + i * stride), kIndexKeyWrite});
+    }
+    return delta;
+  };
+  auto expect_bounded = [&](const ShardIndexVersion& version) {
+    for (const auto& leaf : version.leaves()) {
+      EXPECT_FALSE(leaf->entries.empty());
+      EXPECT_LE(leaf->entries.size(), 2u * kTarget);
+    }
+    expect_same_entries(flatten(version), flatten(*one_leaf.publish()));
+  };
+
+  cut.apply(delta_of(1, 0, 10000, 2));
+  one_leaf.apply(delta_of(1, 0, 10000, 2));
+  expect_bounded(*cut.publish());
+  EXPECT_EQ(cut.key_count(), 10000u);
+
+  // The odd ids interleave into every existing leaf.
+  cut.apply(delta_of(2, 1, 10000, 2));
+  one_leaf.apply(delta_of(2, 1, 10000, 2));
+  expect_bounded(*cut.publish());
+  EXPECT_EQ(cut.key_count(), 20000u);
+  EXPECT_EQ(cut.publish()->key_count(), one_leaf.publish()->key_count());
+}
+
+TEST(ShardIndexBuilder, DeltaOverKnownKeysCopiesNoLeaf) {
+  constexpr std::uint8_t kBoth = kIndexKeyWrite | kIndexKeyIncrement;
+  ShardIndexBuilder builder(/*target_leaf_entries=*/8);
+  IndexDelta seed;
+  seed.generation = 1;
+  for (std::uint32_t id = 0; id < 100; ++id) {
+    seed.keys.push_back({u32_key(id), kBoth});
+  }
+  builder.apply(seed);
+  const auto before = builder.publish();
+  ASSERT_GT(before->leaves().size(), 4u);
+  const std::uint64_t copies_before = builder.leaf_copies();
+
+  // Every key again, with duplicates and with subsets of the bits each
+  // already carries: nothing to add, so no leaf is copied and the next
+  // version shares every leaf of the previous one.
+  IndexDelta known;
+  known.generation = 2;
+  for (std::uint32_t id = 0; id < 100; ++id) {
+    known.keys.push_back({u32_key(id), kIndexKeyWrite});
+    known.keys.push_back({u32_key(99 - id), kIndexKeyIncrement});
+  }
+  known.append_deltas.emplace_back(3, 7);
+  builder.apply(known);
+  EXPECT_EQ(builder.leaf_copies(), copies_before);
+  const auto after = builder.publish();
+  EXPECT_EQ(after->generation(), 2u);
+  EXPECT_EQ(after->append_head(3), 7u);
+  EXPECT_EQ(after->key_count(), 100u);
+  ASSERT_EQ(after->leaves().size(), before->leaves().size());
+  for (std::size_t i = 0; i < after->leaves().size(); ++i) {
+    EXPECT_EQ(after->leaves()[i], before->leaves()[i]) << "leaf " << i;
+  }
+
+  // One new bit among the 100 known keys copies exactly one leaf.
+  IndexDelta one_bit = known;
+  one_bit.generation = 3;
+  one_bit.keys.push_back({u32_key(42), kIndexPostcarding});
+  builder.apply(one_bit);
+  EXPECT_EQ(builder.leaf_copies(), copies_before + 1);
+  const auto touched = builder.publish();
+  std::size_t replaced = 0;
+  for (std::size_t i = 0; i < touched->leaves().size(); ++i) {
+    if (touched->leaves()[i] != after->leaves()[i]) ++replaced;
+  }
+  EXPECT_EQ(replaced, 1u);
+  EXPECT_EQ(touched->lookup(u32_key(42)),
+            kIndexKeyWrite | kIndexKeyIncrement | kIndexPostcarding);
+}
+
+// ------------------------------------------------------------ key order
+
+TEST(IndexKeyOrder, WordCompareMatchesByteOrder) {
+  // index_key_less compares zero-padded words; over seeded pairs it
+  // must agree with std::lexicographical_compare over the byte spans.
+  // Bytes lean on 0x00 and 0xFF (where padding and sign mistakes
+  // show), and the second key of a pair often shares a prefix with, or
+  // is a prefix of, the first.
+  std::mt19937_64 rng(20231);
+  auto byte = [&]() -> std::uint8_t {
+    switch (rng() % 4) {
+      case 0:
+        return 0x00;
+      case 1:
+        return 0xFF;
+      default:
+        return static_cast<std::uint8_t>(rng());
+    }
+  };
+  std::array<std::uint8_t, 16> a{}, b{};
+  std::size_t mismatches = 0;
+  constexpr std::size_t kPairs = 1u << 20;
+  for (std::size_t n = 0; n < kPairs; ++n) {
+    const std::size_t len_a = rng() % 17;
+    for (std::size_t i = 0; i < len_a; ++i) a[i] = byte();
+    std::size_t len_b = rng() % 17;
+    std::size_t shared = 0;
+    switch (rng() % 3) {
+      case 0:  // shared prefix, then independent bytes
+        shared = std::min<std::size_t>(rng() % 17, std::min(len_a, len_b));
+        break;
+      case 1:  // b is a prefix of a, or a of b
+        len_b = std::min(len_b, len_a);
+        shared = len_b;
+        break;
+      default:
+        break;
+    }
+    for (std::size_t i = 0; i < len_b; ++i) b[i] = i < shared ? a[i] : byte();
+    const TelemetryKey ka = TelemetryKey::from({a.data(), len_a});
+    const TelemetryKey kb = TelemetryKey::from({b.data(), len_b});
+    const bool bytewise = std::lexicographical_compare(
+        a.begin(), a.begin() + len_a, b.begin(), b.begin() + len_b);
+    if (index_key_less(ka, kb) != bytewise) ++mismatches;
+    if (index_key_less(kb, ka) !=
+        std::lexicographical_compare(b.begin(), b.begin() + len_b, a.begin(),
+                                     a.begin() + len_a)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(IndexKeyOrder, FromZeroesBytesPastLength) {
+  // The word compare and operator== both rely on it: a key cut from a
+  // buffer whose trailing bytes are non-zero keeps only its span.
+  std::array<std::uint8_t, 32> buffer;
+  buffer.fill(0xAB);
+  for (std::size_t len = 0; len <= 16; ++len) {
+    const TelemetryKey key =
+        TelemetryKey::from(common::ByteSpan(buffer.data(), len));
+    ASSERT_EQ(key.length, len);
+    for (std::size_t i = 0; i < key.bytes.size(); ++i) {
+      EXPECT_EQ(key.bytes[i], i < len ? 0xAB : 0x00)
+          << "len " << len << " byte " << i;
+    }
+  }
+  // Longer spans are cut at 16 bytes.
+  EXPECT_EQ(TelemetryKey::from(common::ByteSpan(buffer.data(), 32)).length,
+            16u);
 }
 
 // --------------------------------------------------------- publisher
@@ -218,6 +377,51 @@ TEST(IndexPublisher, PublishedGenerationIsMonotonic) {
     last = now;
   }
   EXPECT_EQ(publisher.version_at_least(0, 40)->generation(), 40u);
+}
+
+TEST(IndexPublisher, WindowFoldEqualsSequentialApplies) {
+  // A publisher window of N deltas, folded as one, must equal N
+  // sequential applies: entries, masks, append heads, generation and
+  // key count. Full windows and a reader catch-up over a partial one.
+  constexpr std::uint32_t kWindow = 16;
+  IndexPublisherConfig config;
+  config.publish_batch = kWindow;
+  config.target_leaf_entries = 4;
+  IndexPublisher publisher(/*num_shards=*/1, config);
+  ShardIndexBuilder sequential(/*target_leaf_entries=*/4);
+
+  std::mt19937 rng(5);
+  auto check = [&] {
+    const auto folded =
+        publisher.version_at_least(0, sequential.generation());
+    const auto expected = sequential.publish();
+    EXPECT_EQ(folded->generation(), expected->generation());
+    EXPECT_EQ(folded->key_count(), expected->key_count());
+    EXPECT_EQ(folded->append_heads(), expected->append_heads());
+    expect_same_entries(flatten(*folded), flatten(*expected));
+  };
+  const std::uint64_t deltas = 5 * kWindow + 7;
+  for (std::uint64_t g = 1; g <= deltas; ++g) {
+    IndexDelta delta;
+    delta.generation = g;
+    for (std::uint32_t k = rng() % 12; k > 0; --k) {
+      delta.keys.push_back({u32_key(rng() % 400),
+                            static_cast<std::uint8_t>(1u << (rng() % 3))});
+    }
+    for (std::uint32_t k = rng() % 3; k > 0; --k) {
+      delta.append_deltas.emplace_back(rng() % 6, 1 + rng() % 9);
+    }
+    sequential.apply(delta);
+    publisher.enqueue(0, std::move(delta));
+    if (g % kWindow == 0) {
+      EXPECT_EQ(publisher.published(0)->generation(), g);
+      check();
+    }
+  }
+  check();  // the partial window, by reader catch-up
+  const auto stats = publisher.stats();
+  EXPECT_EQ(stats.deltas_applied, deltas);
+  EXPECT_EQ(stats.publishes, 6u);
 }
 
 TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
